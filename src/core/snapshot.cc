@@ -314,7 +314,17 @@ Result<SearchResponse> Snapshot::Search(
   obs::ScopedSpan connection_span(topk_options.trace, "connection_summary");
   summary::ConnectionSummaryGenerator connection_gen(guides_.get(),
                                                      graph_.get());
-  response.connections = connection_gen.Generate(response.topk);
+  dataguide::ConnectionStats connection_stats;
+  response.connections = connection_gen.Generate(
+      response.topk, summary::ConnectionSummaryGenerator::Options{},
+      &connection_stats);
+  // A cold epoch shows here: misses whose DFS ran out of budget are what a
+  // multi-second connection summary spends its time on.
+  connection_span.AddCounter("cache_hits", connection_stats.cache_hits);
+  connection_span.AddCounter("cache_misses", connection_stats.cache_misses);
+  connection_span.AddCounter("dfs_steps", connection_stats.dfs_steps);
+  connection_span.AddCounter("budget_exhausted",
+                             connection_stats.budget_exhausted);
   connection_span.End();
   return response;
 }

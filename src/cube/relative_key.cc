@@ -147,7 +147,10 @@ bool RelativeKey::SameTargets(const std::string& my_context, const RelativeKey& 
 std::string RelativeKey::ToString() const {
   std::vector<std::string> parts;
   for (const KeyPath& kp : paths_) parts.push_back(kp.text);
-  return "(" + Join(parts, ", ") + ")";
+  std::string out = "(";
+  out += Join(parts, ", ");
+  out += ')';
+  return out;
 }
 
 Status VerifyKeyUniqueness(const store::DocumentStore& store,

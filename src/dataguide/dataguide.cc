@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <set>
+#include <unordered_set>
 
-#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "persist/reader.h"
 #include "persist/writer.h"
@@ -203,7 +203,7 @@ Status DataguideCollection::SaveTo(persist::ImageWriter* writer) const {
   writer->PutU64(build_stats_.absorbed);
   writer->PutDouble(build_stats_.reduction_factor);
   writer->PutU64(pending_links_.size());
-  for (const PendingLink& link : pending_links_) {
+  for (const LinkEdge& link : pending_links_) {
     writer->PutU64(link.guide_a);
     writer->PutU64(link.guide_b);
     writer->PutString(link.path_a);
@@ -240,7 +240,7 @@ Result<DataguideCollection> DataguideCollection::LoadFrom(
   uint64_t link_count = cursor.GetU64();
   collection.pending_links_.reserve(cursor.BoundedCount(link_count, 28));
   for (uint64_t l = 0; l < link_count && !cursor.failed(); ++l) {
-    PendingLink link;
+    LinkEdge link;
     link.guide_a = static_cast<size_t>(cursor.GetU64());
     link.guide_b = static_cast<size_t>(cursor.GetU64());
     link.path_a = cursor.GetString();
@@ -279,91 +279,163 @@ void DataguideCollection::AddLinksFromGraph(const graph::DataGraph& graph) {
   connection_cache_.clear();
 }
 
-size_t DataguideCollection::InternSummaryNode(size_t guide, const std::string& path) {
-  auto key = std::make_pair(guide, path);
-  auto it = summary_index_.find(key);
-  if (it != summary_index_.end()) return it->second;
-  size_t id = summary_nodes_.size();
-  summary_nodes_.push_back({guide, path});
-  summary_adj_.emplace_back();
-  summary_index_.emplace(std::move(key), id);
-  nodes_by_path_[path].push_back(id);
-  return id;
+uint32_t DataguideCollection::InternSummaryPath(const std::string& path) {
+  auto [it, inserted] = summary_path_ids_.try_emplace(
+      path, static_cast<uint32_t>(summary_paths_.size()));
+  if (inserted) {
+    summary_paths_.push_back(path);
+    nodes_by_path_.emplace_back();
+  }
+  return it->second;
+}
+
+uint32_t DataguideCollection::InternSummaryLabel(const std::string& label) {
+  auto [it, inserted] = summary_label_ids_.try_emplace(
+      label, static_cast<uint32_t>(summary_labels_.size()));
+  if (inserted) summary_labels_.push_back(label);
+  return it->second;
+}
+
+std::pair<uint32_t, bool> DataguideCollection::InternSummaryNode(size_t guide,
+                                                                 uint32_t path) {
+  const uint64_t key = (static_cast<uint64_t>(guide) << 32) | path;
+  auto [it, inserted] = summary_index_.try_emplace(
+      key, static_cast<uint32_t>(summary_nodes_.size()));
+  if (inserted) {
+    summary_nodes_.push_back({static_cast<uint32_t>(guide), path});
+    nodes_by_path_[path].push_back(it->second);
+  }
+  return {it->second, inserted};
 }
 
 void DataguideCollection::EnsureSummaryGraph() const {
   if (summary_built_) return;
   auto* self = const_cast<DataguideCollection*>(this);
+  self->summary_paths_.clear();
+  self->summary_path_ids_.clear();
+  self->summary_labels_.clear();
+  self->summary_label_ids_.clear();
   self->summary_nodes_.clear();
-  self->summary_adj_.clear();
   self->summary_index_.clear();
   self->nodes_by_path_.clear();
+  self->InternSummaryLabel("");  // label id 0: tree edges
 
+  // Every prefix of a dictionary path ("/a", "/a/b", ... for "/a/b/c",
+  // empty labels skipped) as summary path ids, computed once per PathId
+  // rather than once per (guide, path).
   const store::PathDictionary& dict = store_->paths();
+  std::vector<std::vector<uint32_t>> prefix_ids(dict.size());
+  std::string prefix;
+  // (source node, edge) in insertion order; turned into CSR below.
+  std::vector<std::pair<uint32_t, SummaryEdge>> edges;
   for (size_t g = 0; g < guides_.size(); ++g) {
     for (store::PathId pid : guides_[g].paths()) {
-      const std::string& full = dict.PathString(pid);
-      // Intern all prefixes and chain them with parent/child edges.
-      std::vector<std::string> labels = SplitSkipEmpty(full, '/');
-      std::string prefix;
-      size_t prev = SIZE_MAX;
-      for (const std::string& label : labels) {
-        prefix += "/" + label;
-        size_t node = self->InternSummaryNode(g, prefix);
-        if (prev != SIZE_MAX) {
-          // Avoid duplicate edges: adjacency may already link prev<->node.
-          bool exists = false;
-          for (const SummaryEdge& e : summary_adj_[prev]) {
-            if (e.to == node && e.move == Connection::Move::kDown) {
-              exists = true;
-              break;
-            }
+      std::vector<uint32_t>& chain = prefix_ids[pid];
+      if (chain.empty()) {
+        const std::string& full = dict.PathString(pid);
+        prefix.clear();
+        for (size_t pos = 0; pos < full.size();) {
+          size_t end = full.find('/', pos);
+          if (end == std::string::npos) end = full.size();
+          if (end > pos) {
+            prefix += '/';
+            prefix.append(full, pos, end - pos);
+            chain.push_back(self->InternSummaryPath(prefix));
           }
-          if (!exists) {
-            self->summary_adj_[prev].push_back({node, Connection::Move::kDown, ""});
-            self->summary_adj_[node].push_back({prev, Connection::Move::kUp, ""});
-          }
+          pos = end + 1;
+        }
+      }
+      // Chain the prefixes with parent/child edges. A prefix node is always
+      // created with its parent prefix as `prev`, so a node that already
+      // existed already has its edge pair.
+      uint32_t prev = UINT32_MAX;
+      for (uint32_t path : chain) {
+        auto [node, created] = self->InternSummaryNode(g, path);
+        if (created && prev != UINT32_MAX) {
+          edges.push_back({prev, {node, path, 0, Connection::Move::kDown}});
+          edges.push_back(
+              {node, {prev, summary_nodes_[prev].path, 0, Connection::Move::kUp}});
         }
         prev = node;
       }
     }
   }
   // Apply link edges.
-  for (const PendingLink& link : pending_links_) {
-    size_t a = self->InternSummaryNode(link.guide_a, link.path_a);
-    size_t b = self->InternSummaryNode(link.guide_b, link.path_b);
-    self->summary_adj_[a].push_back({b, Connection::Move::kLink, link.label});
-    self->summary_adj_[b].push_back({a, Connection::Move::kLink, link.label});
+  for (const LinkEdge& link : pending_links_) {
+    const uint32_t path_a = self->InternSummaryPath(link.path_a);
+    const uint32_t a = self->InternSummaryNode(link.guide_a, path_a).first;
+    const uint32_t path_b = self->InternSummaryPath(link.path_b);
+    const uint32_t b = self->InternSummaryNode(link.guide_b, path_b).first;
+    const uint32_t label = self->InternSummaryLabel(link.label);
+    edges.push_back({a, {b, path_b, label, Connection::Move::kLink}});
+    edges.push_back({b, {a, path_a, label, Connection::Move::kLink}});
   }
+  // CSR adjacency: a stable counting sort by source node keeps every node's
+  // edges in insertion order, the order the DFS walks them.
+  std::vector<uint32_t>& begin = self->summary_edge_begin_;
+  begin.assign(summary_nodes_.size() + 1, 0);
+  for (const auto& [from, edge] : edges) ++begin[from + 1];
+  for (size_t n = 0; n < summary_nodes_.size(); ++n) begin[n + 1] += begin[n];
+  std::vector<uint32_t> cursor(begin.begin(), begin.end() - 1);
+  self->summary_edges_.resize(edges.size());
+  for (const auto& [from, edge] : edges) self->summary_edges_[cursor[from]++] = edge;
   summary_built_ = true;
+}
+
+void DataguideCollection::set_cache_enabled(bool enabled) {
+  std::lock_guard<std::mutex> lock(*summary_mu_);
+  cache_enabled_ = enabled;
+}
+
+uint64_t DataguideCollection::cache_hits() const {
+  std::lock_guard<std::mutex> lock(*summary_mu_);
+  return cache_hits_;
+}
+
+uint64_t DataguideCollection::cache_misses() const {
+  std::lock_guard<std::mutex> lock(*summary_mu_);
+  return cache_misses_;
 }
 
 std::vector<Connection> DataguideCollection::FindConnections(
     const std::string& from_path, const std::string& to_path, size_t max_len,
     size_t max_count, size_t max_steps) const {
+  return FindConnections(from_path, to_path, max_len, max_count, max_steps,
+                         nullptr);
+}
+
+std::vector<Connection> DataguideCollection::FindConnections(
+    const std::string& from_path, const std::string& to_path, size_t max_len,
+    size_t max_count, size_t max_steps, ConnectionStats* stats) const {
   // The mutex guards the lazily-built mutable state — the summary graph, the
-  // cache and its counters — because snapshots are shared by concurrent
-  // queries, and this is the only read entry point that mutates. The search
-  // itself runs outside the lock: once built, the summary graph is immutable
-  // (until writer-side AddLinksFromGraph, which happens pre-publication), so
-  // two threads missing on the same pair at worst compute the same answer
-  // twice, instead of every query's connection summary serializing.
+  // cache, its switch and its counters — because snapshots are shared by
+  // concurrent queries, and this is the only read entry point that mutates.
+  // The search itself runs outside the lock: once built, the summary graph
+  // is immutable (until writer-side AddLinksFromGraph, which happens
+  // pre-publication), so two threads missing on the same pair at worst
+  // compute the same answer twice, instead of every query's connection
+  // summary serializing. The cache switch is read once, under the lock, so
+  // a concurrent set_cache_enabled cannot split one call's lookup and store.
   auto key = std::make_pair(from_path, to_path);
+  bool use_cache = false;
   {
     std::lock_guard<std::mutex> lock(*summary_mu_);
     EnsureSummaryGraph();
-    if (cache_enabled_) {
+    use_cache = cache_enabled_;
+    if (use_cache) {
       auto it = connection_cache_.find(key);
       if (it != connection_cache_.end()) {
         ++cache_hits_;
+        if (stats != nullptr) ++stats->cache_hits;
         return it->second;
       }
     }
     ++cache_misses_;
   }
-  auto connections =
-      ComputeConnections(from_path, to_path, max_len, max_count, max_steps);
-  if (cache_enabled_) {
+  if (stats != nullptr) ++stats->cache_misses;
+  auto connections = ComputeConnections(from_path, to_path, max_len, max_count,
+                                        max_steps, stats);
+  if (use_cache) {
     std::lock_guard<std::mutex> lock(*summary_mu_);
     connection_cache_.emplace(std::move(key), connections);
   }
@@ -372,17 +444,18 @@ std::vector<Connection> DataguideCollection::FindConnections(
 
 std::vector<Connection> DataguideCollection::ComputeConnections(
     const std::string& from_path, const std::string& to_path, size_t max_len,
-    size_t max_count, size_t max_steps) const {
+    size_t max_count, size_t max_steps, ConnectionStats* stats) const {
   // Precondition: EnsureSummaryGraph() already ran (FindConnections does it
   // under the lock); from here the summary graph is read-only.
   std::vector<Connection> out;
-  std::set<std::string> signatures;
 
-  auto from_it = nodes_by_path_.find(from_path);
-  if (from_it == nodes_by_path_.end()) return out;
-  auto to_it = nodes_by_path_.find(to_path);
-  if (to_it == nodes_by_path_.end()) return out;
-  std::set<size_t> targets(to_it->second.begin(), to_it->second.end());
+  auto from_it = summary_path_ids_.find(from_path);
+  if (from_it == summary_path_ids_.end()) return out;
+  auto to_it = summary_path_ids_.find(to_path);
+  if (to_it == summary_path_ids_.end()) return out;
+  const std::vector<uint32_t>& starts = nodes_by_path_[from_it->second];
+  std::vector<uint8_t> is_target(summary_nodes_.size(), 0);
+  for (uint32_t node : nodes_by_path_[to_it->second]) is_target[node] = 1;
 
   // Bounded DFS, shortest paths first via iterative deepening. Nodes MAY be
   // revisited: the summary graph collapses sibling instances onto one node,
@@ -394,32 +467,50 @@ std::vector<Connection> DataguideCollection::ComputeConnections(
   // Total DFS work budget across all depth iterations; shortest connections
   // surface first, so an exhausted budget degrades to "fewer long
   // connections", never to a missing short one.
+  //
+  // A step moves integers only: the step stack holds edges, and a target hit
+  // is first deduplicated by its (move, path id, label id) sequence; the
+  // Connection and its Signature() are built only for a new sequence, and
+  // the signature set stays the final arbiter of distinctness.
+  struct Frame {
+    uint32_t node;
+    uint32_t edge_index;         // next edge, an index into summary_edges_
+    uint32_t prev;               // UINT32_MAX at the start node
+    Connection::Move prev_move;  // move that entered `node`
+  };
+  std::vector<Frame> frames;
+  std::vector<const SummaryEdge*> step_stack;
+  std::set<std::string> signatures;
+  std::unordered_set<std::string> step_keys;
+  std::string step_key;
   size_t steps = 0;
+  auto record = [&](bool exhausted) {
+    if (stats == nullptr) return;
+    stats->dfs_steps += exhausted ? max_steps : steps;
+    if (exhausted) ++stats->budget_exhausted;
+  };
   for (size_t depth_limit = 1; depth_limit <= max_len && out.size() < max_count;
        ++depth_limit) {
-    for (size_t start : from_it->second) {
-      std::vector<Connection::Step> step_stack;
-
-      // Explicit DFS with per-frame edge cursor; prev = node we came from.
-      struct Frame {
-        size_t node;
-        size_t edge_index;
-        size_t prev;                 // SIZE_MAX at the start node
-        Connection::Move prev_move;  // move that entered `node`
-      };
-      std::vector<Frame> frames{{start, 0, SIZE_MAX, Connection::Move::kUp}};
+    for (uint32_t start : starts) {
+      step_stack.clear();
+      frames.clear();
+      frames.push_back(
+          {start, summary_edge_begin_[start], UINT32_MAX, Connection::Move::kUp});
 
       while (!frames.empty()) {
-        if (max_steps > 0 && ++steps > max_steps) return out;
+        if (++steps > max_steps && max_steps > 0) {
+          record(true);
+          return out;
+        }
         Frame& frame = frames.back();
         if (step_stack.size() == depth_limit ||
-            frame.edge_index >= summary_adj_[frame.node].size()) {
+            frame.edge_index == summary_edge_begin_[frame.node + 1]) {
           frames.pop_back();
           if (!step_stack.empty()) step_stack.pop_back();
           continue;
         }
-        const SummaryEdge& edge = summary_adj_[frame.node][frame.edge_index++];
-        if (frame.prev != SIZE_MAX && edge.to == frame.prev) {
+        const SummaryEdge& edge = summary_edges_[frame.edge_index++];
+        if (frame.prev != UINT32_MAX && edge.to == frame.prev) {
           // Immediate reversal checks (same instance, no information).
           if (frame.prev_move == Connection::Move::kDown &&
               edge.move == Connection::Move::kUp) {
@@ -430,27 +521,42 @@ std::vector<Connection> DataguideCollection::ComputeConnections(
             continue;
           }
         }
-        Connection::Step step;
-        step.move = edge.move;
-        step.path = summary_nodes_[edge.to].path;
-        step.label = edge.label;
-        step_stack.push_back(step);
-        if (targets.count(edge.to) && step_stack.size() == depth_limit) {
-          Connection conn;
-          conn.from_path = from_path;
-          conn.to_path = to_path;
-          conn.steps = step_stack;
-          if (signatures.insert(conn.Signature()).second) {
-            out.push_back(std::move(conn));
-            if (out.size() >= max_count) return out;
+        step_stack.push_back(&edge);
+        if (is_target[edge.to] && step_stack.size() == depth_limit) {
+          step_key.clear();
+          for (const SummaryEdge* step : step_stack) {
+            step_key.push_back(static_cast<char>(step->move));
+            step_key.append(reinterpret_cast<const char*>(&step->path),
+                            sizeof(step->path));
+            step_key.append(reinterpret_cast<const char*>(&step->label),
+                            sizeof(step->label));
+          }
+          if (step_keys.insert(step_key).second) {
+            Connection conn;
+            conn.from_path = from_path;
+            conn.to_path = to_path;
+            conn.steps.reserve(step_stack.size());
+            for (const SummaryEdge* step : step_stack) {
+              conn.steps.push_back({step->move, summary_paths_[step->path],
+                                    summary_labels_[step->label]});
+            }
+            if (signatures.insert(conn.Signature()).second) {
+              out.push_back(std::move(conn));
+              if (out.size() >= max_count) {
+                record(false);
+                return out;
+              }
+            }
           }
           step_stack.pop_back();
           continue;
         }
-        frames.push_back({edge.to, 0, frame.node, edge.move});
+        frames.push_back(
+            {edge.to, summary_edge_begin_[edge.to], frame.node, edge.move});
       }
     }
   }
+  record(false);
   return out;
 }
 

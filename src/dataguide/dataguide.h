@@ -91,6 +91,18 @@ struct Connection {
   std::string ToString() const;
 };
 
+/// Work counters of FindConnections calls, accumulated (+=) across calls so
+/// one instance can total a whole connection summary.
+struct ConnectionStats {
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+  /// DFS steps the misses spent (edge expansions plus frame pops).
+  uint64_t dfs_steps = 0;
+  /// Misses whose DFS stopped at `max_steps`: their connection lists are
+  /// shaped by the budget, not only by max_len/max_count.
+  uint64_t budget_exhausted = 0;
+};
+
 /// Statistics from building a dataguide collection (Table 1 rows).
 struct BuildStats {
   size_t documents = 0;
@@ -157,28 +169,51 @@ class DataguideCollection {
   /// non-tree edges (mapped to path level). Call once after Build.
   void AddLinksFromGraph(const graph::DataGraph& graph);
 
+  /// FindConnections' default DFS step budget.
+  static constexpr size_t kDefaultMaxSteps = 1000000;
+
   /// Finds up to `max_count` distinct simple connections between two
   /// contexts, each at most `max_len` moves, ordered by length (shortest
   /// first, the paper's preference). Results are cached per (from, to) pair.
-  /// `max_steps` (0 = unlimited) bounds the total DFS edge expansions: the
-  /// summary graph allows revisits (see ComputeConnections), so on schema
-  /// clusters with wide fan-out an exhaustive depth-6 enumeration is
-  /// exponential — the budget keeps the (cached, cold) probe in the tens of
-  /// milliseconds and iterative deepening guarantees the shortest
-  /// connections are found before it runs out.
+  /// `max_steps` (0 = unlimited) bounds the total DFS steps: the summary
+  /// graph allows revisits (see ComputeConnections), so on schema clusters
+  /// with wide fan-out an exhaustive depth-6 enumeration is exponential, and
+  /// on the scale-1.0 Factbook most pairs a query touches use up the default
+  /// budget. Iterative deepening guarantees the shortest connections are
+  /// found before it runs out; the longer ones a pair gets are whichever the
+  /// budget reached (ConnectionStats::budget_exhausted says when). A cold
+  /// probe that uses up the default budget costs 3.5–35 ms (Query 1's eight
+  /// pairs on the scale-1.0 Factbook with trade-partner links, 4-core VM);
+  /// the string-keyed DFS this replaced took 35–650 ms on the same pairs.
   std::vector<Connection> FindConnections(const std::string& from_path,
                                           const std::string& to_path,
                                           size_t max_len = 6,
                                           size_t max_count = 16,
-                                          size_t max_steps = 1000000) const;
+                                          size_t max_steps = kDefaultMaxSteps) const;
+  /// As above, adding this call's cache and DFS work to `*stats` (may be
+  /// null).
+  std::vector<Connection> FindConnections(const std::string& from_path,
+                                          const std::string& to_path,
+                                          size_t max_len, size_t max_count,
+                                          size_t max_steps,
+                                          ConnectionStats* stats) const;
 
   /// Cache behaviour control + counters (ablation A3).
-  void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-  uint64_t cache_hits() const { return cache_hits_; }
-  uint64_t cache_misses() const { return cache_misses_; }
+  void set_cache_enabled(bool enabled);
+  uint64_t cache_hits() const;
+  uint64_t cache_misses() const;
 
   /// Total number of link edges added from the data graph.
   size_t LinkCount() const { return link_count_; }
+
+  /// A path-level link edge between two dataguides, deduplicated per
+  /// (guide_a, path_a, guide_b, path_b, label).
+  struct LinkEdge {
+    size_t guide_a, guide_b;
+    std::string path_a, path_b, label;
+  };
+  /// The link edges the summary graph applies, in insertion order.
+  const std::vector<LinkEdge>& link_edges() const { return pending_links_; }
 
   /// Persistence hooks (src/persist/): writes guides, build statistics and
   /// the path-level link edges / reconstructs the collection over `store`.
@@ -197,23 +232,30 @@ class DataguideCollection {
   /// refreshes the build statistics.
   void IngestDocuments(store::DocId first_doc, const Options& options);
 
-  /// Summary-graph node: a path prefix inside one dataguide.
+  /// Summary-graph node: a path prefix inside one dataguide. Paths and
+  /// link labels are interned per summary graph (summary_paths_,
+  /// summary_labels_), so the DFS moves integers only.
   struct SummaryNode {
-    size_t guide = 0;
-    std::string path;
+    uint32_t guide = 0;
+    uint32_t path = 0;
   };
   struct SummaryEdge {
-    size_t to = 0;
+    uint32_t to = 0;
+    uint32_t path = 0;   ///< summary_nodes_[to].path, kept inline for the DFS
+    uint32_t label = 0;  ///< summary_labels_ id; 0 = "" (tree edges)
     Connection::Move move = Connection::Move::kUp;
-    std::string label;
   };
 
-  size_t InternSummaryNode(size_t guide, const std::string& path);
+  uint32_t InternSummaryPath(const std::string& path);
+  uint32_t InternSummaryLabel(const std::string& label);
+  /// Returns the node of (guide, path) and whether this call created it.
+  std::pair<uint32_t, bool> InternSummaryNode(size_t guide, uint32_t path);
   void EnsureSummaryGraph() const;
   std::vector<Connection> ComputeConnections(const std::string& from_path,
                                              const std::string& to_path,
                                              size_t max_len, size_t max_count,
-                                             size_t max_steps) const;
+                                             size_t max_steps,
+                                             ConnectionStats* stats) const;
 
   const store::DocumentStore* store_;
   std::vector<Dataguide> guides_;
@@ -221,21 +263,26 @@ class DataguideCollection {
   BuildStats build_stats_;
 
   // Summary graph (built lazily).
+  mutable std::vector<std::string> summary_paths_;  // path id -> prefix
+  mutable std::unordered_map<std::string, uint32_t> summary_path_ids_;
+  mutable std::vector<std::string> summary_labels_;  // label id -> label
+  mutable std::unordered_map<std::string, uint32_t> summary_label_ids_;
   mutable std::vector<SummaryNode> summary_nodes_;
-  mutable std::map<std::pair<size_t, std::string>, size_t> summary_index_;
-  mutable std::vector<std::vector<SummaryEdge>> summary_adj_;
-  mutable std::unordered_map<std::string, std::vector<size_t>> nodes_by_path_;
+  // (guide << 32 | path id) -> node id.
+  mutable std::unordered_map<uint64_t, uint32_t> summary_index_;
+  // Adjacency in CSR form: node n's edges are
+  // summary_edges_[summary_edge_begin_[n] .. summary_edge_begin_[n + 1]).
+  mutable std::vector<uint32_t> summary_edge_begin_;
+  mutable std::vector<SummaryEdge> summary_edges_;
+  // Path id -> its nodes, in creation order.
+  mutable std::vector<std::vector<uint32_t>> nodes_by_path_;
   mutable bool summary_built_ = false;
   // Pending link edges (path level), applied when the summary graph builds.
-  struct PendingLink {
-    size_t guide_a, guide_b;
-    std::string path_a, path_b, label;
-  };
-  std::vector<PendingLink> pending_links_;
+  std::vector<LinkEdge> pending_links_;
   size_t link_count_ = 0;
 
-  // Connection cache.
-  mutable bool cache_enabled_ = true;
+  // Connection cache; every field below is guarded by summary_mu_.
+  bool cache_enabled_ = true;
   mutable std::map<std::pair<std::string, std::string>, std::vector<Connection>>
       connection_cache_;
   mutable uint64_t cache_hits_ = 0;

@@ -85,7 +85,12 @@ std::string ContextSpec::ToString() const {
 
 std::string QueryTerm::ToString() const {
   std::string search_text = search ? search->ToString() : "*";
-  return "(" + context.ToString() + ", " + search_text + ")";
+  std::string out = "(";
+  out += context.ToString();
+  out += ", ";
+  out += search_text;
+  out += ')';
+  return out;
 }
 
 std::string Query::ToString() const {
@@ -108,7 +113,10 @@ std::string TokenAt(const std::string& input, size_t pos) {
          !std::isspace(static_cast<unsigned char>(input[end]))) {
     ++end;
   }
-  return "'" + input.substr(pos, end - pos) + "'";
+  std::string out = "'";
+  out.append(input, pos, end - pos);
+  out += '\'';
+  return out;
 }
 
 std::string AtOffset(size_t pos) { return " at offset " + std::to_string(pos); }

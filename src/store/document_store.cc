@@ -12,7 +12,11 @@
 namespace seda::store {
 
 std::string NodeId::ToString() const {
-  return "n" + std::to_string(doc) + "@" + dewey.ToString();
+  std::string out = "n";
+  out += std::to_string(doc);
+  out += '@';
+  out += dewey.ToString();
+  return out;
 }
 
 uint64_t NodeId::Hash() const {

@@ -68,6 +68,12 @@ std::string ConnectionSummary::ToString() const {
 
 ConnectionSummary ConnectionSummaryGenerator::Generate(
     const std::vector<topk::ScoredTuple>& topk_results, const Options& options) const {
+  return Generate(topk_results, options, nullptr);
+}
+
+ConnectionSummary ConnectionSummaryGenerator::Generate(
+    const std::vector<topk::ScoredTuple>& topk_results, const Options& options,
+    dataguide::ConnectionStats* stats) const {
   ConnectionSummary summary;
   if (topk_results.empty()) return summary;
   const store::DocumentStore& store = graph_->store();
@@ -98,7 +104,8 @@ ConnectionSummary ConnectionSummaryGenerator::Generate(
       for (const auto& [path_a, path_b] : path_pairs) {
         auto connections = guides_->FindConnections(
             path_a, path_b, options.max_connection_len,
-            options.max_connections_per_pair);
+            options.max_connections_per_pair,
+            dataguide::DataguideCollection::kDefaultMaxSteps, stats);
         for (dataguide::Connection& conn : connections) {
           std::string signature = conn.Signature();
           if (!emitted.insert(signature).second) continue;

@@ -59,6 +59,11 @@ class ConnectionSummaryGenerator {
 
   ConnectionSummary Generate(const std::vector<topk::ScoredTuple>& topk_results,
                              const Options& options) const;
+  /// As above, adding the dataguide work (cache hits and misses, DFS steps,
+  /// pairs that ran out of DFS budget) to `*stats` (may be null).
+  ConnectionSummary Generate(const std::vector<topk::ScoredTuple>& topk_results,
+                             const Options& options,
+                             dataguide::ConnectionStats* stats) const;
   ConnectionSummary Generate(const std::vector<topk::ScoredTuple>& topk_results) const {
     return Generate(topk_results, Options{});
   }

@@ -134,8 +134,12 @@ std::string TextExpr::ToString() const {
       return "*";
     case Kind::kTerm:
       return "\"" + term + "\"";
-    case Kind::kPhrase:
-      return "\"" + Join(phrase, " ") + "\"";
+    case Kind::kPhrase: {
+      std::string out = "\"";
+      out += Join(phrase, " ");
+      out += '"';
+      return out;
+    }
     case Kind::kAnd:
     case Kind::kOr: {
       std::string sep = kind == Kind::kAnd ? " AND " : " OR ";

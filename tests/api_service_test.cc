@@ -789,8 +789,8 @@ TEST(ServiceStressTest, ConcurrentSessionsWithTtlEvictionRacingRequests) {
     workers.emplace_back([&service, &ok_requests, &evicted_requests, t] {
       for (size_t i = 0; i < kSessionsPerThread; ++i) {
         CreateSessionRequest create;
-        create.session_id =
-            "t" + std::to_string(t) + "-" + std::to_string(i);
+        create.session_id = "t";
+        create.session_id += std::to_string(t) + "-" + std::to_string(i);
         auto created = service.CreateSession(create);
         if (!created.status.ok()) continue;
         SearchRequest search;

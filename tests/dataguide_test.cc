@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "data/generators.h"
 #include "dataguide/dataguide.h"
@@ -169,6 +172,59 @@ TEST_F(ScenarioConnectionTest, CacheCanBeDisabled) {
   uint64_t misses = guides_->cache_misses();
   guides_->FindConnections("/country/name", "/country/year", 4, 8);
   EXPECT_GT(guides_->cache_misses(), misses);
+}
+
+// Concurrent queries share one snapshot's collection: simultaneous cold
+// misses on the same pair compute (at worst twice) the same answer, and
+// every call is counted exactly once as a hit or a miss.
+TEST_F(ScenarioConnectionTest, ConcurrentColdCallsAgree) {
+  const std::string from = "/country/economy/import_partners/item/trade_country";
+  const std::string to = "/country/economy/import_partners/item/percentage";
+  constexpr size_t kThreads = 8;
+  constexpr size_t kCallsPerThread = 4;
+  std::vector<std::string> signatures(kThreads * kCallsPerThread);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < kCallsPerThread; ++i) {
+        std::string out;
+        for (const Connection& c : guides_->FindConnections(from, to, 6, 16)) {
+          out += c.Signature() + "\n";
+        }
+        signatures[t * kCallsPerThread + i] = std::move(out);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_FALSE(signatures[0].empty());
+  for (const std::string& signature : signatures) {
+    EXPECT_EQ(signature, signatures[0]);
+  }
+  EXPECT_EQ(guides_->cache_hits() + guides_->cache_misses(),
+            kThreads * kCallsPerThread);
+  EXPECT_GE(guides_->cache_misses(), 1u);
+}
+
+// Toggling the cache while queries run changes only whether answers are
+// cached, never the answers (and is race-free under TSan).
+TEST_F(ScenarioConnectionTest, CacheToggleDuringQueriesKeepsAnswers) {
+  const std::string from = "/country/name";
+  const std::string to = "/country/economy/GDP";
+  const size_t expected = guides_->FindConnections(from, to, 6, 16).size();
+  ASSERT_GT(expected, 0u);
+  std::vector<std::thread> threads;
+  std::vector<size_t> sizes(4 * 16);
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < 16; ++i) {
+        sizes[t * 16 + i] = guides_->FindConnections(from, to, 6, 16).size();
+      }
+    });
+  }
+  for (size_t i = 0; i < 64; ++i) guides_->set_cache_enabled(i % 2 == 1);
+  for (std::thread& thread : threads) thread.join();
+  for (size_t size : sizes) EXPECT_EQ(size, expected);
+  EXPECT_EQ(guides_->cache_hits() + guides_->cache_misses(), 1u + sizes.size());
 }
 
 TEST_F(ScenarioConnectionTest, UnknownPathsYieldNoConnections) {

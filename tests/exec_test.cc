@@ -145,7 +145,8 @@ TEST(CursorSeekTest, AndAlignmentSkipsDocuments) {
   store::DocumentStore store;
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(
-        store.AddXml("<r><a>apple</a></r>", "d" + std::to_string(i)).ok());
+        store.AddXml("<r><a>apple</a></r>", std::string("d") += std::to_string(i))
+            .ok());
   }
   ASSERT_TRUE(store.AddXml("<r><a>apple</a><b>berry</b></r>", "last").ok());
   text::InvertedIndex index(&store);

@@ -114,7 +114,8 @@ TEST(ParseHttpRequest, OversizedHeadIsBadNotIncomplete) {
 TEST(ParseHttpRequest, TooManyHeaders) {
   std::string head = "GET / HTTP/1.0\r\n";
   for (size_t i = 0; i <= kMaxHttpHeaders; ++i) {
-    head += "H" + std::to_string(i) + ": v\r\n";
+    head += 'H';
+    head += std::to_string(i) + ": v\r\n";
   }
   head += "\r\n";
   HttpRequest request;

@@ -280,5 +280,68 @@ TEST_F(ObsServiceTest, TransportStatzStillFlowsThroughStatz) {
   EXPECT_EQ(statz.transport[0].second, 3u);
 }
 
+/// The first span named `name` in a depth-first walk, or nullptr.
+const obs::SpanNode* FindSpan(const obs::SpanNode& span, const std::string& name) {
+  if (span.name == name) return &span;
+  for (const obs::SpanNode& child : span.children) {
+    if (const obs::SpanNode* found = FindSpan(child, name)) return found;
+  }
+  return nullptr;
+}
+
+/// A counter's value, or -1 when the span does not carry it.
+int64_t Counter(const obs::SpanNode& span, const std::string& name) {
+  for (const auto& [counter, value] : span.counters) {
+    if (counter == name) return static_cast<int64_t>(value);
+  }
+  return -1;
+}
+
+// A cold epoch's connection summary spends its time in dataguide cache
+// misses whose DFS runs out of step budget; the connection_summary span
+// must show that, and show a warm repeat doing no DFS work at all.
+TEST(ObsColdEpochTest, ConnectionSummarySpanShowsColdStall) {
+  core::Seda seda;
+  data::WorldFactbookGenerator::Options data_options;
+  data_options.scale = 0.1;
+  data::WorldFactbookGenerator(data_options).Populate(seda.mutable_store());
+  // The Fig. 1 value-based relationship (country name -> trade partner), as
+  // in the trade_partners example: the link edges that make the summary
+  // graph's DFS blow up on a cold pair.
+  core::SedaOptions options;
+  options.value_edges.push_back(
+      {"/country/name", "/country/economy/import_partners/item/trade_country",
+       "trade_partner"});
+  ASSERT_TRUE(seda.Finalize(options).ok());
+  SedaService service(&seda);
+  auto created = service.CreateSession(CreateSessionRequest{});
+  ASSERT_TRUE(created.status.ok());
+  const std::string request =
+      R"x({"method":"search","session_id":")x" + created.session_id +
+      R"x(","query":"(*, \"United States\") AND (trade_country, *) AND (percentage, *)","trace":true})x";
+
+  auto cold = DecodeSearchResponseDto(service.Handle(request));
+  ASSERT_TRUE(cold.ok());
+  ASSERT_TRUE(cold.value().status.ok());
+  const obs::SpanNode* cold_span =
+      FindSpan(cold.value().trace, "connection_summary");
+  ASSERT_NE(cold_span, nullptr);
+  EXPECT_GT(Counter(*cold_span, "cache_misses"), 0);
+  EXPECT_GT(Counter(*cold_span, "dfs_steps"), 0);
+  EXPECT_GT(Counter(*cold_span, "budget_exhausted"), 0);
+
+  auto warm = DecodeSearchResponseDto(service.Handle(request));
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(warm.value().status.ok());
+  const obs::SpanNode* warm_span =
+      FindSpan(warm.value().trace, "connection_summary");
+  ASSERT_NE(warm_span, nullptr);
+  EXPECT_EQ(Counter(*warm_span, "cache_misses"), 0);
+  EXPECT_EQ(Counter(*warm_span, "cache_hits"),
+            Counter(*cold_span, "cache_misses"));
+  EXPECT_EQ(Counter(*warm_span, "dfs_steps"), 0);
+  EXPECT_EQ(Counter(*warm_span, "budget_exhausted"), 0);
+}
+
 }  // namespace
 }  // namespace seda::api

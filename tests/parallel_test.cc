@@ -125,9 +125,9 @@ std::string FinalizeFingerprint(const core::Seda& seda) {
   out += "\n";
   for (const auto& guide : guides.guides()) {
     out += "g:";
-    for (auto path : guide.paths()) out += " " + std::to_string(path);
+    for (auto path : guide.paths()) (out += ' ') += std::to_string(path);
     out += " |";
-    for (auto doc : guide.members()) out += " " + std::to_string(doc);
+    for (auto doc : guide.members()) (out += ' ') += std::to_string(doc);
     out += "\n";
   }
 
@@ -137,12 +137,13 @@ std::string FinalizeFingerprint(const core::Seda& seda) {
     out += std::string("t:") + term;
     out += " df=" + std::to_string(seda.index().DocumentFrequency(term));
     for (const auto& posting : seda.index().Postings(term)) {
-      out += " " + posting.node.ToString() + "/" + std::to_string(posting.path);
-      for (uint32_t pos : posting.positions) out += "." + std::to_string(pos);
+      out += ' ';
+      out += posting.node.ToString() + "/" + std::to_string(posting.path);
+      for (uint32_t pos : posting.positions) (out += '.') += std::to_string(pos);
     }
     out += " paths:";
     for (auto path : seda.index().TermPaths(term)) {
-      out += " " + std::to_string(path);
+      (out += ' ') += std::to_string(path);
     }
     out += "\n";
   }

@@ -83,9 +83,9 @@ std::string EpochFingerprint(const Snapshot& snap) {
   out += "\n";
   for (const auto& guide : guides.guides()) {
     out += "g:";
-    for (auto path : guide.paths()) out += " " + std::to_string(path);
+    for (auto path : guide.paths()) (out += ' ') += std::to_string(path);
     out += " |";
-    for (auto doc : guide.members()) out += " " + std::to_string(doc);
+    for (auto doc : guide.members()) (out += ' ') += std::to_string(doc);
     out += "\n";
   }
   for (const char* term :
@@ -94,12 +94,13 @@ std::string EpochFingerprint(const Snapshot& snap) {
     out += " df=" + std::to_string(snap.index().DocumentFrequency(term));
     out += " maxtf=" + std::to_string(snap.index().MaxTermFrequency(term));
     for (const auto& posting : snap.index().Postings(term)) {
-      out += " " + posting.node.ToString() + "/" + std::to_string(posting.path);
-      for (uint32_t pos : posting.positions) out += "." + std::to_string(pos);
+      out += ' ';
+      out += posting.node.ToString() + "/" + std::to_string(posting.path);
+      for (uint32_t pos : posting.positions) (out += '.') += std::to_string(pos);
     }
     out += " paths:";
     for (auto path : snap.index().TermPaths(term)) {
-      out += " " + std::to_string(path);
+      (out += ' ') += std::to_string(path);
     }
     out += "\n";
   }

@@ -147,7 +147,7 @@ TEST(ShardSearchTest, ServiceShardingKeepsWireBytesIdentical) {
     service_options.topk_shards = shards;
     api::SedaService sharded(&seda, service_options);
     for (const char* text : kQueries) {
-      SCOPED_TRACE("x" + std::to_string(shards) + ": " + text);
+      SCOPED_TRACE(std::string("x") += std::to_string(shards) + ": " + text);
       api::SearchRequest request;
       request.query = text;
       request.k = 7;
